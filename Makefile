@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all check vet lint vet-unitchecker vet-hotpath vet-contracts pooldebug escapes escapes-update build test race race-focus race-lanes conformance cover bench bench-all bench-update bench-throughput bench-throughput-update fleet-smoke fuzz-smoke crosscensor armsrace
+.PHONY: all check perfbench-check vet lint vet-unitchecker vet-hotpath vet-contracts pooldebug escapes escapes-update build test race race-focus race-lanes conformance cover bench bench-all bench-update bench-throughput bench-throughput-update fleet-smoke fuzz-smoke crosscensor armsrace
 
 # Benchmarks gated by the regression harness (hot-path device benches, fleet
 # orchestration, and the ablations). BENCH_COUNT samples each; perfstat takes
@@ -14,15 +14,13 @@ BENCH_PATTERN = ^(BenchmarkDevice_|BenchmarkFleet_MultiSeedTable1$$|BenchmarkAbl
 BENCH_COUNT ?= 3
 BENCH_TIME ?= 0.2s
 
-# Engine throughput benchmarks gated against BENCH_engine.json. Only the
-# Workers:1 variants are gated — they are deterministic and zero-alloc on any
-# machine; BenchmarkEngine_WorkerFanout's parallel speedup is a property of
-# the host's core count and stays out of any committed baseline.
+# Engine throughput benchmarks gated against BENCH_engine.json: every engine
+# bench, all deterministic and zero-alloc on any machine.
 ENGINE_BENCH_PATTERN = ^(BenchmarkEngine_Passthrough$$|BenchmarkEngine_TLSMix$$|BenchmarkEngine_Chain2$$)
 
 all: check
 
-check: vet lint vet-unitchecker vet-contracts escapes build test conformance race race-lanes crosscensor armsrace
+check: vet lint vet-unitchecker vet-contracts escapes build test perfbench-check conformance race race-lanes crosscensor armsrace
 
 vet:
 	$(GO) vet ./...
@@ -84,6 +82,14 @@ escapes-update:
 build:
 	$(GO) build ./...
 
+# perfbench-check builds, vets and self-tests the benchmark driver, which is
+# its own module (perfbench/go.mod) and so outside ./... above: an engine or
+# tspu API change that breaks the benchmark fails here, not in the
+# benchmark run. The environment matches perfbench/run.sh.
+perfbench-check:
+	cd perfbench && GOWORK=off GOPROXY=off $(GO) vet ./...
+	cd perfbench && GOWORK=off GOPROXY=off $(GO) test -short ./...
+
 test:
 	$(GO) test ./...
 
@@ -97,9 +103,9 @@ race-focus:
 	$(GO) test -race -count=1 ./internal/fleet/... ./internal/conformance/...
 
 # race-lanes is the multi-core cross-check of the lanecheck analyzer: the
-# engine worker fan-out (Workers forced past 1) and the sharded device
-# driven one goroutine per lane, under the race detector. A cross-lane
-# touch the static analysis missed shows up here as a data race.
+# sharded device driven through HandleSharded one goroutine per lane, plus
+# the engine's shard-count determinism, under the race detector. A
+# cross-lane touch the static analysis missed shows up here as a data race.
 race-lanes:
 	$(GO) test -race -count=1 -run 'Engine|Shard' ./internal/engine ./internal/tspu
 

@@ -16,13 +16,6 @@ import (
 // headline metric is the custom pps (packets/sec, bigger is better, max
 // across samples), which perfstat gates alongside the exact zero-allocation
 // budget.
-//
-// The gated variants run Workers: 1 — lanes inline on the calling goroutine,
-// the deterministic zero-alloc configuration and the honest one for the
-// single-core CI box. BenchmarkEngine_WorkerFanout measures the goroutine
-// fan-out path for multi-core machines and is deliberately outside the gate
-// pattern: its wall-clock is hardware-dependent in exactly the way a
-// committed baseline must not be.
 
 const benchBatch = 512
 
@@ -70,13 +63,13 @@ func benchDevice(s *sim.Sim, name string, shards int) *tspu.Device {
 	return d
 }
 
-func benchThroughput(b *testing.B, devices, shards, workers int, chRatio float64) {
+func benchThroughput(b *testing.B, devices, shards int, chRatio float64) {
 	s := sim.New()
 	chain := make([]*tspu.Device, devices)
 	for i := range chain {
 		chain[i] = benchDevice(s, fmt.Sprintf("d%d", i), shards)
 	}
-	e := New(Config{Sim: s, Devices: chain, Workers: workers, BatchSize: benchBatch})
+	e := New(Config{Sim: s, Devices: chain, BatchSize: benchBatch})
 	pkts, dirs := benchStream(chRatio)
 	run := func() {
 		for i, p := range pkts {
@@ -101,28 +94,15 @@ func benchThroughput(b *testing.B, devices, shards, workers int, chRatio float64
 func BenchmarkEngine_Passthrough(b *testing.B) {
 	for _, shards := range []int{1, 8} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			benchThroughput(b, 1, shards, 1, 0)
+			benchThroughput(b, 1, shards, 0)
 		})
 	}
 }
 
 func BenchmarkEngine_TLSMix(b *testing.B) {
-	benchThroughput(b, 1, 8, 1, 0.1)
+	benchThroughput(b, 1, 8, 0.1)
 }
 
 func BenchmarkEngine_Chain2(b *testing.B) {
-	benchThroughput(b, 2, 8, 1, 0)
-}
-
-// BenchmarkEngine_WorkerFanout is NOT in the regression gate: parallel
-// speedup is a property of the host's core count, so its numbers are only
-// meaningful relative to each other on the machine at hand. On a multi-core
-// box expect shards=8,workers=8 to approach 8x the workers=1 pps; on one
-// core it measures pure fan-out overhead.
-func BenchmarkEngine_WorkerFanout(b *testing.B) {
-	for _, workers := range []int{1, 2, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			benchThroughput(b, 1, 8, workers, 0)
-		})
-	}
+	benchThroughput(b, 2, 8, 0)
 }

@@ -13,10 +13,10 @@ import (
 	"tspusim/internal/tspu"
 )
 
-// The engine's contract is byte-equivalence: batching, sharding, and worker
-// fan-out are performance structure, not behavior. Every test here drives
-// the same seeded trace through the batch pipeline and a sequential
-// reference and requires identical verdicts and wire bytes.
+// The engine's contract is byte-equivalence: batching and sharding are
+// performance structure, not behavior. Every test here drives the same
+// seeded trace through the batch pipeline and a sequential reference and
+// requires identical verdicts and wire bytes.
 
 var (
 	testLocal   = packet.MustAddr("10.0.0.2")
@@ -231,45 +231,6 @@ func TestMultiDeviceChainEquivalence(t *testing.T) {
 	compareLogs(t, "two-device chain", ref, got)
 }
 
-// TestWorkerCountDeterminism pins that the worker count changes wall-clock
-// structure only: 1, 2, and 8 workers produce one verdict stream. Run under
-// -race this also exercises the lane-disjointness claim.
-func TestWorkerCountDeterminism(t *testing.T) {
-	stream := testStream(5, 2000)
-	var ref []string
-	for _, workers := range []int{1, 2, 8} {
-		s := sim.New()
-		d := testDevice(s, "w", 8, 5)
-		e := New(Config{Sim: s, Devices: []*tspu.Device{d}, Workers: workers})
-		got := runBatched(e, stream, 256)
-		if ref == nil {
-			ref = got
-			continue
-		}
-		compareLogs(t, fmt.Sprintf("workers=%d", workers), ref, got)
-	}
-}
-
-// TestEngineMultiWorkerRace forces Workers well past 1 with a stream large
-// enough for the race detector to see real lane interleaving; the verdict
-// stream must still match the single-worker reference. This is the dynamic
-// cross-check of the lanecheck analyzer's static lane-isolation contract.
-func TestEngineMultiWorkerRace(t *testing.T) {
-	stream := testStream(7, 4000)
-	var ref []string
-	for _, workers := range []int{1, 8} {
-		s := sim.New()
-		d := testDevice(s, "mw", 8, 7)
-		e := New(Config{Sim: s, Devices: []*tspu.Device{d}, Workers: workers})
-		got := runBatched(e, stream, 256)
-		if ref == nil {
-			ref = got
-			continue
-		}
-		compareLogs(t, fmt.Sprintf("workers=%d", workers), ref, got)
-	}
-}
-
 // TestShardCountDeterminism pins that lane count is invisible in behavior.
 func TestShardCountDeterminism(t *testing.T) {
 	stream := testStream(6, 2000)
@@ -287,68 +248,76 @@ func TestShardCountDeterminism(t *testing.T) {
 	}
 }
 
-// TestFragmentReleaseAndTimeout exercises the buffered Pipe: fragment
-// queues fill across batches, the completed queue re-enters the chain via
-// Inject and reaches Deliver with rewritten TTLs, and the timeout scheduled
-// through the buffered After discards an incomplete queue when the engine
-// advances the clock.
+// TestFragmentReleaseAndTimeout exercises the Pipe on a two-device chain:
+// fragment queues fill across batches, the completed queue re-enters the
+// chain via Inject one position past the injecting device (so the
+// downstream device, and only it, sees the released fragments), and the
+// timeout scheduled through After discards an incomplete queue once the
+// simulator runs past it.
 func TestFragmentReleaseAndTimeout(t *testing.T) {
 	s := sim.New()
-	d := testDevice(s, "frag", 4, 9)
-	var delivered []*packet.Packet
-	e := New(Config{
-		Sim:     s,
-		Devices: []*tspu.Device{d},
-		Deliver: func(pkt *packet.Packet, dir netem.Direction) { delivered = append(delivered, pkt) },
-	})
+	edge, core := testDevice(s, "edge", 4, 9), testDevice(s, "core", 4, 10)
+	e := New(Config{Sim: s, Devices: []*tspu.Device{edge, core}})
 
-	mk := func(id uint16, ttl0, ttl1 uint8) []*packet.Packet {
-		p := packet.NewTCP(testLocal, packet.MustAddr("203.0.113.9"), 41000, 7547, packet.FlagSYN, 1, 0, nil)
+	remote := packet.MustAddr("203.0.113.9")
+	mk := func(id uint16) []*packet.Packet {
+		p := packet.NewTCP(testLocal, remote, 41000, 7547, packet.FlagSYN, 1, 0, nil)
 		p.IP.ID = id
 		frags, err := packet.FragmentCount(p, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		frags[0].IP.TTL = ttl0
-		frags[1].IP.TTL = ttl1
 		return frags
 	}
+	fragBuffers := func() (int, int) { return edge.Stats().FragBuffers, core.Stats().FragBuffers }
 
-	// Complete queue: both fragments delivered together, TTLs equalized.
-	frags := mk(900, 64, 12)
+	// Complete queue: the edge holds both fragments, then releases them
+	// into the core, which buffers and releases them in turn.
+	frags := mk(900)
 	e.Push(frags[0], netem.AtoB)
 	for _, it := range e.Process() {
 		if it.Verdict != netem.Drop {
 			t.Fatalf("buffered fragment verdict = %v, want Drop", it.Verdict)
 		}
 	}
-	if len(delivered) != 0 {
-		t.Fatal("fragments released before the queue completed")
+	if eb, cb := fragBuffers(); eb != 1 || cb != 0 {
+		t.Fatalf("fragments seen (edge, core) = (%d, %d) before the queue completed, want (1, 0)", eb, cb)
 	}
 	e.Push(frags[1], netem.AtoB)
 	e.Process()
-	if len(delivered) != 2 {
-		t.Fatalf("delivered %d fragments, want 2", len(delivered))
+	if eb, cb := fragBuffers(); eb != 2 || cb != 2 {
+		t.Fatalf("fragments seen (edge, core) = (%d, %d) after release, want (2, 2)", eb, cb)
 	}
-	if delivered[0].IP.TTL != delivered[1].IP.TTL || delivered[0].IP.TTL != 64 {
-		t.Fatalf("TTLs after release: %d, %d — want both 64 (first fragment's)", delivered[0].IP.TTL, delivered[1].IP.TTL)
+	if edge.PendingFragQueues() != 0 || core.PendingFragQueues() != 0 {
+		t.Fatalf("open fragment queues (edge, core) = (%d, %d), want (0, 0)", edge.PendingFragQueues(), core.PendingFragQueues())
 	}
 
-	// Incomplete queue: discarded by the timeout flushed through the
-	// buffered pipe once the clock advances past the 5 s fragment timeout.
-	delivered = delivered[:0]
-	frags = mk(901, 64, 64)
+	// BtoA travels core first: the core's release re-enters at the edge.
+	frags = mk(902)
+	for _, f := range frags {
+		f.IP.Src, f.IP.Dst = remote, testLocal
+		e.Push(f, netem.BtoA)
+	}
+	e.Process()
+	if eb, cb := fragBuffers(); eb != 4 || cb != 4 {
+		t.Fatalf("fragments seen (edge, core) = (%d, %d) after a BtoA release, want (4, 4)", eb, cb)
+	}
+
+	// Incomplete queue: discarded by the timeout the edge scheduled through
+	// After once the simulator runs past the 5 s fragment timeout; nothing
+	// reaches the core.
+	frags = mk(901)
 	e.Push(frags[0], netem.AtoB)
 	e.Process()
-	if d.PendingFragQueues() != 1 {
-		t.Fatalf("open fragment queues = %d, want 1", d.PendingFragQueues())
+	if edge.PendingFragQueues() != 1 {
+		t.Fatalf("open fragment queues = %d, want 1", edge.PendingFragQueues())
 	}
-	e.Advance(10*time.Second, 0)
-	if d.PendingFragQueues() != 0 {
-		t.Fatalf("fragment queue survived its timeout: %d open", d.PendingFragQueues())
+	s.RunBatch(10*time.Second, 1<<20)
+	if edge.PendingFragQueues() != 0 {
+		t.Fatalf("fragment queue survived its timeout: %d open", edge.PendingFragQueues())
 	}
-	if len(delivered) != 0 {
-		t.Fatal("incomplete queue delivered fragments")
+	if _, cb := fragBuffers(); cb != 4 {
+		t.Fatalf("core saw %d fragments, want 4: the incomplete queue leaked downstream", cb)
 	}
 }
 

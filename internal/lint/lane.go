@@ -10,23 +10,26 @@ import (
 	"tspusim/internal/lint/analysis"
 )
 
-// Lanecheck turns "lanes are disjoint by construction" from a doc comment in
-// internal/engine into a checked property. The engine fans worker goroutines
-// out over conntrack lanes; correctness rests on every lane touching only its
-// own shard of conntrack/fragment/wheel state. The claim is declared with two
-// markers and verified over the lane-reachable call graph:
+// Lanecheck turns "lanes are disjoint by construction" from a doc comment
+// into a checked property. Lane isolation matters for two reasons: the batch
+// engine (internal/engine) runs each batch lane-major, which is
+// byte-equivalent to sequential delivery only if no lane touches another
+// lane's state, and the tspu tests drive Device.HandleSharded one goroutine
+// per lane. Both rest on every lane touching only its own shard of
+// conntrack/fragment/wheel state. The claim is declared with two markers and
+// verified over the lane-reachable call graph:
 //
-//   - //tspuvet:lane on a function declares a lane entry point (Engine.runLane,
-//     Device.HandleSharded). It must have an integer lane parameter (named
+//   - //tspuvet:lane on a function declares a lane entry point
+//     (Device.HandleSharded). It must have an integer lane parameter (named
 //     lane, l, laneID, shard, or shardID).
 //   - //tspuvet:laneowned on a type declaration declares per-lane state
-//     (laneState, devLane, ctShard, flowEntry, ...): a value of this type is
+//     (devLane, ctShard, flowEntry, ...): a value of this type is
 //     owned by exactly one lane, so writes through it are safe.
 //
 // In every function reachable from a lane root through same-package calls:
 //
 //   - Indexing a shared container whose elements are lane-owned
-//     (e.lane[...], d.ct.shards[...]) must use the lane parameter (or an
+//     (d.lanes[...], d.ct.shards[...]) must use the lane parameter (or an
 //     alias/conversion of it, or a lane/shard field of lane-owned state).
 //     Any other index — a sibling shard, a literal, a loop variable — is a
 //     cross-lane access, read or write.
@@ -476,7 +479,8 @@ func (w *laneWalker) class(e ast.Expr) laneClass {
 		base := w.class(e.X)
 		if base == classLaneLocal {
 			// A pointer field out of lane-local state into a non-lane-owned
-			// named struct (lanePipe.e -> *Engine) re-enters shared territory.
+			// named struct (a pipe's back pointer to its engine) re-enters
+			// shared territory.
 			if t := info.TypeOf(e); t != nil {
 				if p, ok := t.Underlying().(*types.Pointer); ok {
 					if named, ok := p.Elem().(*types.Named); ok && !w.c.isOwned(named.Obj()) && !isPacketNamed(named) {

@@ -168,7 +168,8 @@ func exhaustScaleRow(cfg ExhaustScaleConfig, bound int) ExhaustScaleRow {
 		}
 		e.Process()
 		n += m
-		// RunUntil, not engine.Advance: the flood schedules no events, so the
+		// RunUntil, not sim.RunBatch: the flood schedules no events, and
+		// RunBatch never moves the clock past the last event it ran, so the
 		// clock must be moved explicitly for timeouts to churn the tail.
 		s.RunUntil(start + time.Duration(n/cfg.BatchSize)*step)
 		if sz := dev.ConntrackSize(); sz > row.PeakTable {

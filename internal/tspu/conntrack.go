@@ -162,10 +162,10 @@ func (e *flowEntry) isImmune(t BlockType) bool { return e.immune&(1<<uint(t)) !=
 func (e *flowEntry) setImmune(t BlockType)     { e.immune |= 1 << uint(t) }
 
 // ctShard is one independent slice of the flow table: its own map, entry
-// pool, capacity bound, and timeout wheel. Shards share nothing, so the batch
-// engine can hand each worker a disjoint set of shards and run them with no
-// lock — the decentralized-deployment analogue of the paper's observation
-// that TSPU state is per-box, not network-global.
+// pool, capacity bound, and timeout wheel. Shards share nothing, so lanes
+// driving disjoint shards need no lock — the decentralized-deployment
+// analogue of the paper's observation that TSPU state is per-box, not
+// network-global.
 //
 //tspuvet:laneowned
 type ctShard struct {

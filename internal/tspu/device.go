@@ -43,13 +43,14 @@ type Config struct {
 	// Shards splits the conntrack — and every other piece of mutable device
 	// state — into that many independent lanes selected by the packet's
 	// canonical host pair, rounded up to a power of two. Lanes share nothing,
-	// so the batch engine can run them on separate workers without locks.
-	// Zero or one gives the classic single-lane device.
+	// so the batch engine can run a batch lane by lane with each lane's
+	// packets inside one conntrack shard. Zero or one gives the classic
+	// single-lane device.
 	Shards int
 	// PerFlowRand derives failure rolls and the SNI-II allowance from a pure
 	// function of (FlowSeed, flow hash, per-flow roll index) instead of
-	// consuming the shared Rand stream. Batch processing interleaves flows
-	// in an order that differs from sequential delivery; per-flow derivation
+	// consuming the shared Rand stream. The batch engine runs flows lane by
+	// lane, an order that differs from sequential delivery; per-flow derivation
 	// makes every random outcome independent of that order, which is what
 	// lets the batched path stay byte-equivalent to the sequential one.
 	// Within a flow the order is fixed (a flow never leaves its lane), so
@@ -101,9 +102,8 @@ type laneStats struct {
 
 // devLane is the mutable per-shard half of a Device: counters, fragment
 // queues, reassembly buffers, and scratch space. Lane i owns exactly the
-// packets whose canonical host pair hashes to conntrack shard i, so two
-// engine workers driving different lanes of one device never touch the same
-// memory.
+// packets whose canonical host pair hashes to conntrack shard i, so code
+// driving different lanes of one device never touches the same memory.
 //
 //tspuvet:laneowned
 type devLane struct {
@@ -121,7 +121,7 @@ type devLane struct {
 
 // Device is one TSPU middlebox. Attach it to a netem link; it inspects every
 // packet crossing in both directions. A device built with Config.Shards > 1
-// may be driven concurrently through HandleSharded as long as each worker
+// may be driven concurrently through HandleSharded as long as each goroutine
 // sticks to its own lanes; the plain Handle path (and the simulator it runs
 // in) remains single-threaded.
 type Device struct {
@@ -291,7 +291,7 @@ func (d *Device) Handle(pipe netem.Pipe, pkt *packet.Packet, dir netem.Direction
 
 // HandleSharded is the batch engine's entry point: identical to Handle, with
 // the flow key and lane precomputed by the caller (which already hashed the
-// key to route the packet to this worker). lane MUST equal LaneOf(key); the
+// key to route the packet to this lane). lane MUST equal LaneOf(key); the
 // caller owns that lane for the duration of the call.
 //
 //tspuvet:hotpath
@@ -403,7 +403,7 @@ func (d *Device) handleIPBlock(pkt *packet.Packet, dir netem.Direction, key pack
 // flowRand draws the next value of e's private random stream: one splitmix64
 // finalization over (FlowSeed, flow hash, roll index). A pure function of
 // flow identity and roll count — nothing shared is consumed, so the result
-// is the same whichever worker, batch, or packet ordering gets here.
+// is the same whichever lane order, batch, or packet ordering gets here.
 //
 //tspuvet:hotpath
 func (d *Device) flowRand(e *flowEntry) uint64 {

@@ -107,30 +107,6 @@ func (ct *conntrack) Sweep(now time.Duration) int {
 	return n
 }
 
-// sweepScan is the pre-wheel full-table scan, kept as the equivalence oracle
-// for the timeout wheel: after either sweep, no entry with expires <= now
-// remains, and both report the same reclaim count on the same table state.
-//
-//tspuvet:coldpath test oracle for wheel-vs-scan sweep equivalence
-func (ct *conntrack) sweepScan(now time.Duration) int {
-	n := 0
-	for i := range ct.shards {
-		sh := &ct.shards[i]
-		reclaimed := 0
-		for k, e := range sh.table {
-			if now >= e.expires {
-				delete(sh.table, k)
-				sh.release(e)
-				reclaimed++
-			}
-		}
-		sh.evictions += reclaimed
-		sh.compactFIFO()
-		n += reclaimed
-	}
-	return n
-}
-
 // Sweep reclaims expired conntrack entries and fragment queues.
 func (d *Device) Sweep() int {
 	return d.ct.Sweep(d.now())
@@ -152,7 +128,7 @@ func (d *Device) ConntrackPoolStats() (allocs, reuses uint64, pooled int) {
 // per interval, piggybacked on packet handling — housekeeping rides the
 // datapath rather than pinning the event loop with a self-rescheduling timer
 // (which would keep the simulation alive forever), and stays lane-local so
-// the batch engine's workers never sweep each other's shards.
+// a lane never sweeps another lane's shard.
 func (d *Device) EnableAutoSweep(interval time.Duration) {
 	if interval <= 0 {
 		interval = 30 * time.Second

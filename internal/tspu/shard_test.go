@@ -271,6 +271,28 @@ func tableKeys(ct *conntrack) map[packet.FlowKey4]bool {
 	return keys
 }
 
+// sweepScan is the pre-wheel full-table scan, kept as the equivalence oracle
+// for the timeout wheel: after either sweep, no entry with expires <= now
+// remains, and both report the same reclaim count on the same table state.
+func (ct *conntrack) sweepScan(now time.Duration) int {
+	n := 0
+	for i := range ct.shards {
+		sh := &ct.shards[i]
+		reclaimed := 0
+		for k, e := range sh.table {
+			if now >= e.expires {
+				delete(sh.table, k)
+				sh.release(e)
+				reclaimed++
+			}
+		}
+		sh.evictions += reclaimed
+		sh.compactFIFO()
+		n += reclaimed
+	}
+	return n
+}
+
 // TestWheelSweepEquivalence pins the timeout wheel against the retained
 // full-table scan: same observe history, same sweep times, same reclaim
 // counts, same surviving entries.
